@@ -117,7 +117,6 @@ func main() {
 	bits := flag.Uint("bits", 16, "with -writable on a fresh directory: domain bits of the dynamic store")
 	step := flag.Int("step", 0, "with -writable on a fresh directory: consolidation step (0 = default)")
 	syncEvery := flag.Int("sync", 1, "with -writable: fsync the WAL every N updates (1 = every acknowledged update is durable)")
-	prfKernel := flag.String("prf-kernel", "batched", "token search path: batched (lane-batched PRF + derived-state cache) or legacy (scalar, for before/after load tests)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	slowQuery := flag.Duration("slow-query", 0, "log requests whose execution exceeds this threshold (0 disables)")
@@ -139,10 +138,6 @@ func main() {
 	// is idempotent, so the racing paths can all call Stop.
 	if profiles, err = obs.StartProfiles(*cpuProfile, *memProfile); err != nil {
 		fatal(err)
-	}
-	if err := rsse.SetSearchKernel(*prfKernel); err != nil {
-		fmt.Fprintln(os.Stderr, "rsse-server:", err)
-		os.Exit(2)
 	}
 	if *indexPath != "" && *dir != "" {
 		fmt.Fprintln(os.Stderr, "rsse-server: -index and -dir are mutually exclusive")
@@ -203,7 +198,7 @@ func main() {
 		fatal(err)
 	}
 	logger.Info("serving", "indexes", len(reg.Names()), "addr", l.Addr().String(),
-		"storage", *engine, "dispatch", *dispatch, "prf_kernel", rsse.SearchKernelName(),
+		"storage", *engine, "dispatch", *dispatch,
 		"version", obs.Version)
 	if dyn != nil {
 		logger.Info("writable store ready", "name", *writableName, "addr", l.Addr().String())

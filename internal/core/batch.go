@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -53,6 +54,21 @@ type ContextBatchSearcher interface {
 type ContextFetcher interface {
 	FetchContext(ctx context.Context, id ID) ([]byte, bool, error)
 }
+
+// BatchFetcher is the optional Server extension the owner-side
+// false-positive filter prefers: fetching many tuples in one exchange.
+// cts[i] is the ciphertext of ids[i] when ok[i] is set. The server sees
+// exactly the ids it would see as separate fetches, in one message.
+// An implementation whose far end cannot batch (a remote server that
+// predates the batch op) returns an error wrapping
+// ErrBatchFetchUnsupported, and the caller fetches id by id instead.
+type BatchFetcher interface {
+	FetchBatchContext(ctx context.Context, ids []ID) (cts [][]byte, ok []bool, err error)
+}
+
+// ErrBatchFetchUnsupported reports that a BatchFetcher's server cannot
+// answer batch fetches; per-id fetches still work.
+var ErrBatchFetchUnsupported = errors.New("core: server does not support batch fetch")
 
 // searchCtx runs one search round, honouring ctx as far as the server
 // implementation allows (a plain Server is checked before the call).
@@ -115,6 +131,19 @@ func (x *Index) FetchContext(ctx context.Context, id ID) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	return x.Fetch(id)
+}
+
+// FetchBatchContext implements BatchFetcher for a local index.
+func (x *Index) FetchBatchContext(ctx context.Context, ids []ID) ([][]byte, []bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	cts := make([][]byte, len(ids))
+	ok := make([]bool, len(ids))
+	for i, id := range ids {
+		cts[i], ok[i] = x.store.Get(id)
+	}
+	return cts, ok, nil
 }
 
 // SearchBatch executes several trapdoors in one exchange, searching
@@ -656,17 +685,17 @@ func (c *Client) batchSRCiRound2(ctx context.Context, s Server, meta IndexMeta, 
 // fetching each distinct raw id exactly once across the whole batch (the
 // shared cover nodes mean the same ids recur in many ranges' raw sets).
 func (c *Client) batchFilter(ctx context.Context, s Server, ranges []Range, br *BatchResult) error {
-	seen := make(map[ID]struct{})
+	pos := make(map[ID]int)
 	var distinct []ID
 	for _, res := range br.Results {
 		for _, id := range res.Raw {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
+			if _, dup := pos[id]; !dup {
+				pos[id] = len(distinct)
 				distinct = append(distinct, id)
 			}
 		}
 	}
-	values, err := c.prefetchValues(ctx, s, distinct)
+	values, err := c.fetchValues(ctx, s, distinct)
 	if err != nil {
 		return err
 	}
@@ -674,7 +703,7 @@ func (c *Client) batchFilter(ctx context.Context, s Server, ranges []Range, br *
 	for i, res := range br.Results {
 		res.Matches = make([]ID, 0, len(res.Raw))
 		for _, id := range res.Raw {
-			if ranges[i].Contains(values[id]) {
+			if ranges[i].Contains(values[pos[id]]) {
 				res.Matches = append(res.Matches, id)
 			}
 		}
@@ -682,37 +711,51 @@ func (c *Client) batchFilter(ctx context.Context, s Server, ranges []Range, br *
 	return nil
 }
 
-// prefetchValues fetches and decrypts the values of the given ids with up
-// to BatchWorkers concurrent fetches (the owner-side counterpart of the
-// server's concurrent token search — on a remote target each fetch is a
-// round trip).
-func (c *Client) prefetchValues(ctx context.Context, s Server, ids []ID) (map[ID]Value, error) {
+// fetchValues fetches the tuples under ids and decrypts just their
+// values, values[i] belonging to ids[i]. A server offering BatchFetcher
+// answers them all in one exchange; any other server, or one that
+// reports ErrBatchFetchUnsupported, gets up to BatchWorkers concurrent
+// per-id fetches (on a remote target each one is a round trip).
+func (c *Client) fetchValues(ctx context.Context, s Server, ids []ID) ([]Value, error) {
 	values := make([]Value, len(ids))
+	if len(ids) == 0 {
+		return values, nil
+	}
+	if bf, ok := s.(BatchFetcher); ok {
+		cts, found, err := bf.FetchBatchContext(ctx, ids)
+		switch {
+		case errors.Is(err, ErrBatchFetchUnsupported):
+			// Fall through to the per-id path below.
+		case err != nil:
+			return nil, err
+		case len(cts) != len(ids) || len(found) != len(ids):
+			return nil, fmt.Errorf("core: batch fetch returned %d tuples for %d ids", len(cts), len(ids))
+		default:
+			for i, id := range ids {
+				if values[i], err = c.openValue(id, cts[i], found[i]); err != nil {
+					return nil, err
+				}
+			}
+			return values, nil
+		}
+	}
 	err := runJobs(ctx, c.numBatchWorkers(), len(ids), func(i int) error {
-		v, err := c.fetchValue(ctx, s, ids[i])
+		ct, found, err := fetchCtx(ctx, s, ids[i])
 		if err != nil {
 			return err
 		}
-		values[i] = v
-		return nil
+		values[i], err = c.openValue(ids[i], ct, found)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[ID]Value, len(ids))
-	for i, id := range ids {
-		out[id] = values[i]
-	}
-	return out, nil
+	return values, nil
 }
 
-// fetchValue fetches one tuple and decrypts just its value.
-func (c *Client) fetchValue(ctx context.Context, s Server, id ID) (Value, error) {
-	ct, ok, err := fetchCtx(ctx, s, id)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
+// openValue decrypts the value of one fetched tuple.
+func (c *Client) openValue(id ID, ct []byte, found bool) (Value, error) {
+	if !found {
 		return 0, fmt.Errorf("core: server returned unknown id %d", id)
 	}
 	v, _, err := openTuple(c.kStore, ct)

@@ -658,13 +658,13 @@ func idsOf(resp *Response, stats *QueryStats) []ID {
 // inside the query range — the owner-side refinement step that removes
 // the SRC schemes' false positives.
 func (c *Client) filterMatches(ctx context.Context, s Server, raw []ID, q Range) ([]ID, error) {
+	values, err := c.fetchValues(ctx, s, raw)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]ID, 0, len(raw))
-	for _, id := range raw {
-		v, err := c.fetchValue(ctx, s, id)
-		if err != nil {
-			return nil, err
-		}
-		if q.Contains(v) {
+	for i, id := range raw {
+		if q.Contains(values[i]) {
 			out = append(out, id)
 		}
 	}

@@ -18,9 +18,7 @@ import (
 // The mode is off by default: with the stdlib's assembly SHA-512
 // backing the scalar path and the pure-Go pairing scheduler backing
 // blockLanes, scalar still wins on this generation of hardware (see
-// BenchmarkExpand*). The seam exists so an asm blockLanes backend
-// (build tag rsse_prf_asm) flips one switch instead of re-plumbing the
-// expansion path.
+// BenchmarkExpand*).
 
 // batchedExpand selects lane-batched GGM expansion for ExpandInto.
 var batchedExpand atomic.Bool

@@ -170,6 +170,7 @@ type family struct {
 type child struct {
 	labelValues []string
 	counter     *Counter
+	read        func() uint64 // CounterFunc source, read at exposition
 	gauge       *Gauge
 	hist        *Histogram
 }
@@ -249,6 +250,19 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.getFamily(name, help, kindCounter).getChild(nil).counter
 }
 
+// CounterFunc registers the unlabeled counter called name whose value
+// is read from fn at exposition time. It exposes counters a package
+// keeps itself — one that obs's own imports keep from importing obs —
+// with no cost on that package's hot path. fn must be safe for
+// concurrent use.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	f := r.getFamily(name, help, kindCounter)
+	c := f.getChild(nil)
+	f.mu.Lock()
+	c.read = fn
+	f.mu.Unlock()
+}
+
 // Gauge returns the unlabeled gauge called name.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.getFamily(name, help, kindGauge).getChild(nil).gauge
@@ -323,8 +337,10 @@ func (f *family) render(b *strings.Builder) {
 	f.mu.RLock()
 	keys := append([]string(nil), f.order...)
 	children := make([]*child, len(keys))
+	reads := make([]func() uint64, len(keys))
 	for i, k := range keys {
 		children[i] = f.children[k]
+		reads[i] = children[i].read
 	}
 	f.mu.RUnlock()
 	if len(children) == 0 {
@@ -332,12 +348,16 @@ func (f *family) render(b *strings.Builder) {
 	}
 	fmt.Fprintf(b, "# HELP %s %s\n", f.name, f.help)
 	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
-	for _, c := range children {
+	for i, c := range children {
 		switch f.kind {
 		case kindCounter:
+			v := c.counter.Value()
+			if reads[i] != nil {
+				v = reads[i]()
+			}
 			b.WriteString(f.name)
 			writeLabels(b, f.labelKeys, c.labelValues, "")
-			fmt.Fprintf(b, " %d\n", c.counter.Value())
+			fmt.Fprintf(b, " %d\n", v)
 		case kindGauge:
 			b.WriteString(f.name)
 			writeLabels(b, f.labelKeys, c.labelValues, "")

@@ -29,6 +29,29 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+func TestCounterFuncReadAtExposition(t *testing.T) {
+	r := NewRegistry()
+	var v uint64 = 11
+	r.CounterFunc("ext_total", "external counter", func() uint64 { return v })
+	for _, want := range []float64{11, 12} {
+		var b strings.Builder
+		if err := r.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), "# TYPE ext_total counter") {
+			t.Fatalf("exposition lacks the counter family:\n%s", b.String())
+		}
+		parsed, err := ParseText(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parsed["ext_total"] != want {
+			t.Fatalf("ext_total = %v, want %v", parsed["ext_total"], want)
+		}
+		v++
+	}
+}
+
 func TestVecChildrenIndependent(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("ops_total", "per-op", "op")

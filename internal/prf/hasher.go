@@ -1,9 +1,12 @@
 package prf
 
 import (
+	"bytes"
 	"crypto/sha512"
 	"encoding"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash"
 	"sync"
 )
@@ -128,41 +131,68 @@ func (h *Hasher) EvalUint64N(from uint64, n int, out [][KeySize]byte) {
 	}
 }
 
-// snapshotMax bounds a marshaled SHA-512 digest state (204 bytes in
-// the current runtime, with headroom for format growth). Fixed-size
-// storage keeps a Snapshot a plain value: embedding one in a cache
-// entry costs no extra heap object.
-const snapshotMax = 256
+// A keyed HMAC half has absorbed exactly one SHA-512 block (the padded
+// key), so its marshaled digest state is fixed except for the chaining
+// value: magic(4) ‖ h(64) ‖ empty block buffer(128) ‖ length=128(8).
+// A Snapshot therefore keeps only the two 64-byte chaining values, and
+// Restore splices them into the Hasher's own keyed state, which already
+// holds the fixed parts. TestSnapshotTemplate pins this layout, so a
+// runtime whose digest format changes fails a test, and init re-checks
+// it so a binary built against such a runtime panics at start-up
+// instead of returning wrong PRF values.
+const (
+	keyedStateLen = 204
+	chainOff      = 4
+	chainLen      = sha512.Size
+)
 
-// Snapshot captures the Hasher's keyed state as an immutable value:
-// restoring it later costs two small copies instead of a key schedule.
-// Snapshots are what the derived-state caches store — they are safe to
-// share across goroutines because Restore only reads them.
-type Snapshot struct {
-	ni, no   int
-	ist, ost [snapshotMax]byte
+func init() {
+	if err := checkKeyedLayout(); err != nil {
+		panic(err)
+	}
 }
 
-// Valid reports whether s holds a captured state.
-func (s *Snapshot) Valid() bool { return s.ni > 0 }
+// checkKeyedLayout verifies the layout Snapshot and Restore assume: two
+// keyed states are keyedStateLen bytes and differ only in the chaining
+// value.
+func checkKeyedLayout() error {
+	h1, h2 := NewHasher(Key{}), NewHasher(Key{1})
+	for _, st := range [][2][]byte{{h1.istate, h2.istate}, {h1.ostate, h2.ostate}} {
+		a, b := st[0], st[1]
+		if len(a) != keyedStateLen || len(b) != keyedStateLen {
+			return fmt.Errorf("prf: keyed sha512 state is %d/%d bytes, want %d", len(a), len(b), keyedStateLen)
+		}
+		if !bytes.Equal(a[:chainOff], b[:chainOff]) || !bytes.Equal(a[chainOff+chainLen:], b[chainOff+chainLen:]) ||
+			bytes.Equal(a[chainOff:chainOff+chainLen], b[chainOff:chainOff+chainLen]) {
+			return errors.New("prf: keyed sha512 states do not differ exactly in the chaining value")
+		}
+	}
+	return nil
+}
+
+// Snapshot captures the Hasher's keyed state as an immutable value:
+// restoring it later costs two 64-byte copies instead of a key
+// schedule. Snapshots are what the derived-state caches store — they
+// are safe to share across goroutines because Restore only reads them.
+type Snapshot struct {
+	ist, ost [chainLen]byte
+}
 
 // Snapshot returns the current keyed state as a self-contained value.
 func (h *Hasher) Snapshot() Snapshot {
 	var s Snapshot
-	if len(h.istate) > snapshotMax || len(h.ostate) > snapshotMax {
-		panic("prf: sha512 state exceeds snapshot bound")
-	}
-	s.ni = copy(s.ist[:], h.istate)
-	s.no = copy(s.ost[:], h.ostate)
+	copy(s.ist[:], h.istate[chainOff:chainOff+chainLen])
+	copy(s.ost[:], h.ostate[chainOff:chainOff+chainLen])
 	return s
 }
 
 // Restore rekeys the Hasher from a Snapshot without touching the key
 // schedule: equivalent to the SetKey that produced the snapshot, at
-// memcpy cost. Allocation-free in steady state.
+// memcpy cost. The Hasher must have been keyed once (any key) so its
+// state carries the fixed template. Allocation-free.
 func (h *Hasher) Restore(s *Snapshot) {
-	h.istate = append(h.istate[:0], s.ist[:s.ni]...)
-	h.ostate = append(h.ostate[:0], s.ost[:s.no]...)
+	copy(h.istate[chainOff:chainOff+chainLen], s.ist[:])
+	copy(h.ostate[chainOff:chainOff+chainLen], s.ost[:])
 }
 
 // Derive is the labelled KDF of package function Derive, evaluated

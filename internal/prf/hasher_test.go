@@ -99,6 +99,7 @@ func TestHasherAllocs(t *testing.T) {
 	var k Key
 	k[0] = 3
 	h := NewHasher(k)
+	snap := h.Snapshot()
 	data := []byte("allocation-guard-keyword")
 	checks := []struct {
 		name string
@@ -112,6 +113,7 @@ func TestHasherAllocs(t *testing.T) {
 		{"Hasher.Derive", 0, func() { h.Derive("label") }},
 		{"Hasher.DeriveN", 0, func() { h.DeriveN("label", 3) }},
 		{"Hasher.SetKey", 0, func() { h.SetKey(k) }},
+		{"Hasher.Restore", 0, func() { h.Restore(&snap) }},
 		// Pooled one-shots: a GC emptying the pool costs one refill, so
 		// allow a small average rather than exactly zero.
 		{"Eval", 0.1, func() { Eval(k, data) }},
@@ -121,6 +123,63 @@ func TestHasherAllocs(t *testing.T) {
 		c.f() // warm up (grows lbuf once)
 		if n := testing.AllocsPerRun(200, c.f); n > c.max {
 			t.Errorf("%s: %v allocs/op, want <= %v", c.name, n, c.max)
+		}
+	}
+}
+
+// TestSnapshotTemplate pins the digest-state layout the compact
+// Snapshot relies on: a keyed HMAC half marshals to 204 bytes whose
+// only key-dependent part is the 64-byte chaining value at offset 4.
+// A Go release that changes the SHA-512 marshaling format fails here.
+func TestSnapshotTemplate(t *testing.T) {
+	if err := checkKeyedLayout(); err != nil {
+		t.Fatal(err)
+	}
+	rnd := mrand.New(mrand.NewSource(7))
+	var k1, k2 Key
+	rnd.Read(k1[:])
+	rnd.Read(k2[:])
+	h1, h2 := NewHasher(k1), NewHasher(k2)
+	for _, st := range [][2][]byte{{h1.istate, h2.istate}, {h1.ostate, h2.ostate}} {
+		a, b := st[0], st[1]
+		if len(a) != keyedStateLen || len(b) != keyedStateLen {
+			t.Fatalf("keyed state is %d/%d bytes, want %d", len(a), len(b), keyedStateLen)
+		}
+		if !bytes.Equal(a[:chainOff], b[:chainOff]) || !bytes.Equal(a[chainOff+chainLen:], b[chainOff+chainLen:]) {
+			t.Fatal("keyed states differ outside the chaining value")
+		}
+		if bytes.Equal(a[chainOff:chainOff+chainLen], b[chainOff:chainOff+chainLen]) {
+			t.Fatal("chaining values of different keys are equal")
+		}
+		if !bytes.Equal(a[chainOff+chainLen:keyedStateLen-8], make([]byte, sha512.BlockSize)) {
+			t.Fatal("block buffer of a one-block state is not empty")
+		}
+		if n := binary.BigEndian.Uint64(a[keyedStateLen-8:]); n != sha512.BlockSize {
+			t.Fatalf("absorbed length = %d, want one block", n)
+		}
+	}
+}
+
+// TestSnapshotRestoreEqualsSetKey: restoring a snapshot into a Hasher
+// keyed under a different key must evaluate exactly as SetKey would.
+func TestSnapshotRestoreEqualsSetKey(t *testing.T) {
+	rnd := mrand.New(mrand.NewSource(8))
+	h := NewHasher(Key{})
+	for trial := 0; trial < 50; trial++ {
+		var k Key
+		rnd.Read(k[:])
+		snap := NewHasher(k).Snapshot()
+		h.Restore(&snap)
+		ref := NewHasher(k)
+		if !bytes.Equal(h.istate, ref.istate) || !bytes.Equal(h.ostate, ref.ostate) {
+			t.Fatal("restored state differs from SetKey's")
+		}
+		for _, n := range []int{0, 8, 9, 127, 128, 300} {
+			data := make([]byte, n)
+			rnd.Read(data)
+			if h.Eval(data) != refEval(k, data) {
+				t.Fatalf("restored Eval(%d bytes) disagrees with crypto/hmac", n)
+			}
 		}
 	}
 }

@@ -1,5 +1,3 @@
-//go:build !rsse_prf_asm
-
 package prf
 
 import (
@@ -7,18 +5,11 @@ import (
 	"math/bits"
 )
 
-// LaneBackend names the active multi-lane compression backend. The
-// generic build schedules lanes in pure Go: pairs of lanes run through
-// an interleaved compression whose two dependency chains overlap in the
-// out-of-order window, the odd remainder takes the scalar function. An
-// asm backend (AVX2/AVX-512 message-parallel SHA-512) can replace this
-// file under the rsse_prf_asm build tag by providing LaneBackend and
-// blockLanes with the same contract.
-const LaneBackend = "generic"
-
 // blockLanes applies one SHA-512 compression to each of the first n
-// lanes: sts[l] absorbs blks[l]. Lanes are independent; backends may
-// process them in any order or in parallel.
+// lanes: sts[l] absorbs blks[l]. Lanes are scheduled in pure Go: pairs
+// of lanes run through an interleaved compression whose two dependency
+// chains overlap in the out-of-order window, and the odd remainder
+// takes the scalar function.
 func blockLanes(sts *[MaxLanes][8]uint64, blks *[MaxLanes][sha512BlockSize]byte, n int) {
 	l := 0
 	for ; l+1 < n; l += 2 {

@@ -6,15 +6,13 @@ import (
 	"sync"
 )
 
-// MaxLanes is the widest lane configuration a MultiHasher supports;
-// it matches the widest plausible asm backend (8×64-bit lanes in
-// AVX-512 registers).
+// MaxLanes is the widest lane configuration a MultiHasher supports
+// (8×64-bit lanes, the width of one AVX-512 register).
 const MaxLanes = 8
 
 // DefaultLanes is the lane width used when callers do not pick one.
 // The generic scheduler pairs lanes, so widths beyond a handful only
-// grow staging footprint; 4 keeps the working set inside L1 while
-// leaving headroom for a wider asm backend.
+// grow staging footprint; 4 keeps the working set inside L1.
 const DefaultLanes = 4
 
 // MultiHasher evaluates up to MaxLanes independent HMAC-SHA-512 labels

@@ -1,9 +1,10 @@
-//go:build !(linux || darwin || freebsd || netbsd || openbsd || dragonfly)
+//go:build !linux
 
 package storage
 
-// Platforms without madvise: page-residency advice is a no-op (the
-// data is a heap copy here anyway, see mmap_other.go).
+// Platforms whose syscall package has no Madvise (every GOOS but
+// linux): page-residency advice is a no-op. The BSDs and darwin still
+// map index files (mmap_unix.go); they just page them in without hints.
 
 func prefetchBytes([]byte) {}
 

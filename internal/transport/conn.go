@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"rsse/internal/core"
 )
@@ -31,6 +32,10 @@ type Conn struct {
 	// Any other unknown id is protocol corruption and kills the conn.
 	abandoned map[uint32]struct{}
 	readErr   error // sticky: set once the read loop dies
+
+	// noFetchBatch is set once the server answered the fetch-batch op
+	// as unknown: it predates the op, so fetches go id by id.
+	noFetchBatch atomic.Bool
 }
 
 type rpcResult struct {
@@ -286,7 +291,7 @@ func (c *Conn) roundTripContext(ctx context.Context, op byte, name string, paylo
 	case statusOK:
 		return res.payload, nil
 	case statusErr:
-		return nil, fmt.Errorf("transport: server: %s", res.payload)
+		return nil, serverError(res.payload)
 	case statusOverload:
 		// The server is up but shed this request; wrap ErrOverloaded so
 		// callers can errors.Is it and back off instead of failing over.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"rsse/internal/obs"
+	"rsse/internal/sse"
 )
 
 // The transport layer instruments itself against the process-wide
@@ -14,7 +15,7 @@ import (
 
 // opLabel maps wire op bytes to their metric label; index 0 doubles as
 // the unknown-op bucket.
-var opLabel = [opBatchStream + 1]string{
+var opLabel = [opFetchBatch + 1]string{
 	0:             "unknown",
 	opMeta:        "meta",
 	opSearch:      "search",
@@ -25,6 +26,20 @@ var opLabel = [opBatchStream + 1]string{
 	opDynFlush:    "dyn_flush",
 	opDynQuery:    "dyn_query",
 	opBatchStream: "batch_stream",
+	opFetchBatch:  "fetch_batch",
+}
+
+// The search kernel's stag-cache counters live in package sse, which
+// sits below obs in the import graph; they are exposed as scrape-time
+// reads of sse.KernelCacheStats, so the search path keeps its plain
+// atomic adds.
+func init() {
+	obs.Default.CounterFunc("rsse_stag_cache_hits_total",
+		"Token searches whose per-stag derived state came from the stag cache.",
+		func() uint64 { h, _ := sse.KernelCacheStats(); return h })
+	obs.Default.CounterFunc("rsse_stag_cache_misses_total",
+		"Token searches that derived their per-stag state (and published it to the stag cache).",
+		func() uint64 { _, m := sse.KernelCacheStats(); return m })
 }
 
 // opIndex clamps a wire op byte into opLabel's range.
@@ -124,7 +139,7 @@ var (
 	ixBatches = obs.Default.CounterVec("rsse_index_batches_total",
 		"Batch-query frames executed, per served index.", "index")
 	ixFetches = obs.Default.CounterVec("rsse_index_fetches_total",
-		"Raw-id fetch requests executed, per served index.", "index")
+		"Fetch requests (single-id or batch frames) executed, per served index.", "index")
 	ixTokens = obs.Default.CounterVec("rsse_server_leakage_tokens_total",
 		"Search tokens (stags + GGM) received, per served index — the query-size leakage.", "index")
 	ixTokenBytes = obs.Default.CounterVec("rsse_server_leakage_token_bytes_total",

@@ -17,7 +17,7 @@
 //	ops:      meta(1), search(trapdoor wire, 2), fetch(id, 3), names(4),
 //	          batch-query(trapdoor batch wire, 5), update(6),
 //	          dyn-flush(7), dyn-query(8), batch-stream(trapdoor batch
-//	          wire, 9)
+//	          wire, 9), fetch-batch(count ids, 10)
 //	status:   ok(0) payload | err(1) message | overload(2) message |
 //	          partial(3) chunk
 //
@@ -42,6 +42,12 @@
 // batch's tokens concurrently. It is how a whole multi-range batch (see
 // core.Client.QueryBatch) costs one round trip per round instead of one
 // per range.
+//
+// The fetch-batch op carries up to 4096 raw ids in one frame
+// and answers with one entry per id — ok(u8), then len(u32) and the
+// ciphertext when ok is set — so an SRC query's false-positive filter
+// costs one round trip instead of one per returned id (see
+// fetchbatch.go).
 //
 // For served read indexes, exactly the protocol messages of the paper
 // cross the wire: trapdoors owner→server, opaque result groups and
@@ -77,6 +83,7 @@ const (
 	opDynFlush    byte = 7
 	opDynQuery    byte = 8
 	opBatchStream byte = 9
+	opFetchBatch  byte = 10
 
 	statusOK       byte = 0
 	statusErr      byte = 1
@@ -110,6 +117,17 @@ const requestHeader = 4 + 1 + 1
 
 // responseHeader is the fixed prefix of a response body: id, status.
 const responseHeader = 4 + 1
+
+// errUnknownOp starts the error message a server sends for an op it
+// does not know. It is part of the protocol: a client probing an
+// optional op (fetch-batch) recognises an older server by it.
+const errUnknownOp = "transport: unknown request type "
+
+// serverError is an error response (statusErr) from the server: the
+// request failed there, the connection is fine.
+type serverError string
+
+func (e serverError) Error() string { return "transport: server: " + string(e) }
 
 // ErrFrameTooLarge is returned when a peer announces an oversized frame.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds limit")
@@ -284,8 +302,10 @@ func handleRequest(reg *Registry, req request) ([]byte, error) {
 			out = append(out, 0)
 		}
 		return out, nil
+	case opFetchBatch:
+		return handleFetchBatch(idx, ob, req.payload)
 	default:
-		return nil, fmt.Errorf("transport: unknown request type %d", req.op)
+		return nil, fmt.Errorf("%s%d", errUnknownOp, req.op)
 	}
 }
 

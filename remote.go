@@ -172,6 +172,7 @@ type remoteHandle interface {
 	core.BatchSearcher
 	core.ContextBatchSearcher
 	core.ContextFetcher
+	core.BatchFetcher
 	Name() string
 }
 
