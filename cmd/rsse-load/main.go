@@ -18,13 +18,15 @@
 //
 //	rsse-load ... -scale 0.2
 //
-// Measure the bounded-dispatch before/after: point -compare-addr at a
-// second server running the legacy goroutine-per-request path
-// (rsse-server -dispatch spawn); the zipf workload is driven against
-// both and the report gains a dispatch_comparison block:
+// Measure a before/after: point -compare-addr at a second server built
+// from the old code or configuration and name what differs with
+// -compare-mode; the zipf workload is driven against both and the
+// report gains a dispatch_comparison block (BENCH_7.json holds the
+// first such comparison, pooled vs goroutine-per-request dispatch):
 //
 //	rsse-load -addr 127.0.0.1:7070 -compare-addr 127.0.0.1:7071 \
-//	    -keyfile table.key -workloads zipf -json BENCH_7.json
+//	    -compare-mode old-build -keyfile table.key -workloads zipf \
+//	    -json now.json
 //
 // Gate CI against a committed baseline (non-zero exit if sustained QPS
 // drops or steady p99 rises by more than -gate):
@@ -78,8 +80,7 @@ func main() {
 		gate        = flag.Float64("gate", 0.20, "allowed fractional regression vs -baseline")
 		compareAddr = flag.String("compare-addr", "", "old-configuration server for the interleaved before/after comparison")
 		compareReps = flag.Int("compare-reps", 1, "A/B pairs to run for the comparison (median wins; >1 tames noisy boxes)")
-		compareMode = flag.String("compare-mode", "spawn-dispatch", "what the -compare-addr server differs in (e.g. legacy-kernel); labels the comparison and the @-suffixed run")
-		dispatch    = flag.String("dispatch", "pooled", "dispatch mode label of -addr's server (report metadata)")
+		compareMode = flag.String("compare-mode", "compare", "what the -compare-addr server differs in; labels the comparison and the @-suffixed run")
 		manifest    = flag.String("manifest", "", "cluster manifest: drive the whole cluster instead of one index")
 		writeName   = flag.String("writable-name", rsse.DefaultDynamicName, "writable-store name for write_fraction ops (rsse-server -writable)")
 		opsAddr     = flag.String("ops-addr", "", "server ops address (rsse-server -ops): scrape /metrics before and after the run and embed the delta in the report")
@@ -143,7 +144,7 @@ func main() {
 			fatal(fmt.Errorf("workload %s: write_fraction is not supported against a cluster (no cluster update protocol)", spec.Name))
 		}
 	}
-	report := workload.NewLoadReport(env.kind.String(), env.bits, *dispatch)
+	report := workload.NewLoadReport(env.kind.String(), env.bits)
 	var before map[string]float64
 	if *opsAddr != "" {
 		if before, err = obs.Scrape(*opsAddr); err != nil {
@@ -341,7 +342,7 @@ func drive(ctx context.Context, e *env, addr string, spec *workload.Spec) (*work
 // decide the verdict. The last old-side run's full phase breakdown
 // joins the report under "<workload>@<mode>" so the comparison's
 // inputs stay inspectable.
-func compareAB(ctx context.Context, e *env, pooledAddr, spawnAddr, mode string, reps int, specs []*workload.Spec, pooled []workload.RunReport) (*workload.DispatchComparison, *workload.RunReport, error) {
+func compareAB(ctx context.Context, e *env, primaryAddr, oldAddr, mode string, reps int, specs []*workload.Spec, primary []workload.RunReport) (*workload.DispatchComparison, *workload.RunReport, error) {
 	pick := 0
 	for i, s := range specs {
 		if s.Name == "zipf" {
@@ -350,43 +351,43 @@ func compareAB(ctx context.Context, e *env, pooledAddr, spawnAddr, mode string, 
 		}
 	}
 	spec := specs[pick]
-	p := pooled[pick]
-	pooledQPS := []float64{p.SustainedQPS}
-	pooledP99 := []float64{sustainP99(&p)}
-	var spawnQPS, spawnP99 []float64
-	var lastSpawn *workload.RunReport
+	p := primary[pick]
+	newQPS := []float64{p.SustainedQPS}
+	newP99 := []float64{sustainP99(&p)}
+	var oldQPS, oldP99 []float64
+	var lastOld *workload.RunReport
 	for rep := 0; rep < reps; rep++ {
-		fmt.Fprintf(os.Stderr, "rsse-load: workload %s against %s (%s, rep %d/%d)\n", spec.Name, spawnAddr, mode, rep+1, reps)
-		spawn, err := drive(ctx, e, spawnAddr, spec)
+		fmt.Fprintf(os.Stderr, "rsse-load: workload %s against %s (%s, rep %d/%d)\n", spec.Name, oldAddr, mode, rep+1, reps)
+		old, err := drive(ctx, e, oldAddr, spec)
 		if err != nil {
 			return nil, nil, fmt.Errorf("rsse-load: compare run: %w", err)
 		}
-		spawnQPS = append(spawnQPS, spawn.SustainedQPS)
-		spawnP99 = append(spawnP99, sustainP99(spawn))
-		lastSpawn = spawn
+		oldQPS = append(oldQPS, old.SustainedQPS)
+		oldP99 = append(oldP99, sustainP99(old))
+		lastOld = old
 		if rep+1 < reps {
-			fmt.Fprintf(os.Stderr, "rsse-load: workload %s against %s (primary, rep %d/%d)\n", spec.Name, pooledAddr, rep+2, reps)
-			again, err := drive(ctx, e, pooledAddr, spec)
+			fmt.Fprintf(os.Stderr, "rsse-load: workload %s against %s (primary, rep %d/%d)\n", spec.Name, primaryAddr, rep+2, reps)
+			again, err := drive(ctx, e, primaryAddr, spec)
 			if err != nil {
 				return nil, nil, fmt.Errorf("rsse-load: compare run: %w", err)
 			}
-			pooledQPS = append(pooledQPS, again.SustainedQPS)
-			pooledP99 = append(pooledP99, sustainP99(again))
+			newQPS = append(newQPS, again.SustainedQPS)
+			newP99 = append(newP99, sustainP99(again))
 		}
 	}
 	cmp := &workload.DispatchComparison{
 		Workload:    spec.Name,
 		Mode:        mode,
-		PooledQPS:   median(pooledQPS),
-		PooledP99Us: median(pooledP99),
-		SpawnQPS:    median(spawnQPS),
-		SpawnP99Us:  median(spawnP99),
+		PooledQPS:   median(newQPS),
+		PooledP99Us: median(newP99),
+		SpawnQPS:    median(oldQPS),
+		SpawnP99Us:  median(oldP99),
 	}
 	if cmp.SpawnQPS > 0 {
 		cmp.Speedup = cmp.PooledQPS / cmp.SpawnQPS
 	}
-	lastSpawn.Workload += "@" + mode
-	return cmp, lastSpawn, nil
+	lastOld.Workload += "@" + mode
+	return cmp, lastOld, nil
 }
 
 // multiFlag collects a repeatable string flag.

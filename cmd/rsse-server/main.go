@@ -110,7 +110,6 @@ func main() {
 	prefetch := flag.Bool("prefetch", false, "with -storage disk: madvise each opened index's mapping into the page cache ahead of traffic (trades resident memory for warm first queries)")
 	drain := flag.Duration("drain", 10*time.Second, "max time to drain in-flight requests on shutdown")
 	drainGrace := flag.Duration("drain-grace", 0, "time to stay up (not-ready on /readyz) before draining, so load balancers stop routing first")
-	dispatch := flag.String("dispatch", "pooled", "connection dispatch mode: pooled (bounded worker pool + coalesced writes) or spawn (legacy goroutine-per-request, for before/after load tests)")
 	writable := flag.String("writable", "", "durable dynamic store directory to host for remote updates")
 	writableName := flag.String("writable-name", rsse.DefaultDynamicName, "update-namespace name the writable store serves under")
 	scheme := flag.String("scheme", "Logarithmic-BRC", "with -writable on a fresh directory: scheme of the dynamic store")
@@ -198,7 +197,7 @@ func main() {
 		fatal(err)
 	}
 	logger.Info("serving", "indexes", len(reg.Names()), "addr", l.Addr().String(),
-		"storage", *engine, "dispatch", *dispatch,
+		"storage", *engine,
 		"version", obs.Version)
 	if dyn != nil {
 		logger.Info("writable store ready", "name", *writableName, "addr", l.Addr().String())
@@ -220,9 +219,6 @@ func main() {
 	}
 
 	srv := rsse.NewServer(reg)
-	if err := srv.SetDispatch(*dispatch); err != nil {
-		fatal(err)
-	}
 	srv.SetLogger(logger)
 	srv.SetSlowQuery(*slowQuery)
 	done := make(chan error, 1)

@@ -276,12 +276,17 @@ func runJobsChunked(ctx context.Context, workers, n, chunk int, job func(i int) 
 	return firstErr
 }
 
+// searchJobRun is how many consecutive search jobs a worker takes per
+// handoff in SearchBatchContext. Four amortizes the unbuffered channel
+// send across several tokens while a typical cover (a handful to a few
+// dozen tokens) still spreads over every worker.
+const searchJobRun = 4
+
 // SearchBatchContext implements ContextBatchSearcher: every (trapdoor,
 // token) pair is an independent search job, fanned out over up to
-// GOMAXPROCS workers in lane-width runs. Jobs are laid out trapdoor by
-// trapdoor, so a run keeps one trapdoor's tokens — which share the
-// trapdoor struct and, under the batched kernel, neighbouring
-// derived-state cache entries — on a single worker. Group order within
+// GOMAXPROCS workers in runs of searchJobRun. Jobs are laid out
+// trapdoor by trapdoor, so a run keeps tokens of one trapdoor, which
+// share the trapdoor struct, on a single worker. Group order within
 // each response matches token order, as the demultiplexing owner
 // requires.
 func (x *Index) SearchBatchContext(ctx context.Context, ts []*Trapdoor) ([]*Response, error) {
@@ -294,7 +299,7 @@ func (x *Index) SearchBatchContext(ctx context.Context, ts []*Trapdoor) ([]*Resp
 			jobs = append(jobs, job{ti: i, tj: j})
 		}
 	}
-	err := runJobsChunked(ctx, runtime.GOMAXPROCS(0), len(jobs), prf.DefaultLanes, func(i int) error {
+	err := runJobsChunked(ctx, runtime.GOMAXPROCS(0), len(jobs), searchJobRun, func(i int) error {
 		return x.searchToken(ts[jobs[i].ti], jobs[i].tj, out[jobs[i].ti])
 	})
 	if err != nil {

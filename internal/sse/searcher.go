@@ -32,8 +32,8 @@ type cellSearcher struct {
 	chunk []byte          // free region of the current arena chunk
 	slots []uint64        // twolevel pointer scratch
 
-	// Batched label window: labels labBase..labBase+labN-1 derived
-	// ahead through the batched PRF API.
+	// Label window: labels labBase..labBase+labN-1 derived ahead by
+	// one EvalUint64N call.
 	labs    [labelBatchMax][prf.KeySize]byte
 	labBase uint64
 	labN    int
@@ -51,9 +51,11 @@ type cellSearcher struct {
 	firstN int
 }
 
-// labelBatchMax caps the label lookahead window at the PRF kernel's
-// lane width.
-const labelBatchMax = prf.MaxLanes
+// labelBatchMax caps the label lookahead window and the label prefix a
+// stag-cache entry keeps. Eight labels cover most posting lists in one
+// window while a wasted window past a list's end stays at a few HMACs,
+// and the prefix costs 128 bytes of a ~320-byte cache entry.
+const labelBatchMax = 8
 
 var cellSearcherPool = sync.Pool{New: func() any {
 	return &cellSearcher{h: prf.NewHasher(prf.Key{})}
@@ -136,12 +138,12 @@ func putCellSearcher(s *cellSearcher) {
 // label computes the i-th cell label under the stag's location key.
 // The returned slice is valid until the next label call.
 //
-// Consecutive labels are gathered into lane-width batches through the
-// batched PRF API: the window doubles from one label up to the lane
-// width as the posting list proves longer, so empty and single-cell
-// lists (the overwhelming majority) derive exactly the labels they
-// probe, while long lists amortize staging and bounds checks across
-// whole windows. Search loops always probe labels with consecutive i,
+// Consecutive labels are gathered into windows derived by one
+// EvalUint64N call: the window doubles from one label up to
+// labelBatchMax as the posting list proves longer, so empty and
+// single-cell lists (the overwhelming majority) derive exactly the
+// labels they probe, while long lists amortize staging and bounds
+// checks across whole windows. Search loops always probe labels with consecutive i,
 // which is what makes the lookahead exact.
 func (s *cellSearcher) label(i uint64) []byte {
 	// Cached labels first: a warm entry answers the whole stream of a

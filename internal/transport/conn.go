@@ -174,7 +174,7 @@ func (c *Conn) readLoop() {
 	var err error
 	for {
 		var body []byte
-		if body, err = readFrame(br); err != nil {
+		if body, err = readFrame(br, nil); err != nil {
 			break
 		}
 		if len(body) < responseHeader {

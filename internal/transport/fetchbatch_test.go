@@ -265,7 +265,7 @@ func oldServerDial(t *testing.T, idx core.Server, frames *[opFetchBatch + 1]atom
 		t.Cleanup(func() { serverEnd.Close(); clientEnd.Close() })
 		go func() {
 			for {
-				body, err := readFrame(serverEnd)
+				body, err := readFrame(serverEnd, nil)
 				if err != nil {
 					return
 				}

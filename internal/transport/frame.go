@@ -172,23 +172,51 @@ func (fw *frameWriter) flushAll(w io.Writer) error {
 // ciphertexts alias them all the way up to the caller.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// readFrameInto reads one frame body into buf (grown if needed),
-// returning the filled slice.
-func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+// maxPooledBody is the largest body buffer putBody returns to bodyPool:
+// one large request must not pin its buffer for every later small one.
+const maxPooledBody = 1 << 20
+
+// putBody recycles a request body buffer unless it outgrew maxPooledBody.
+func putBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
+}
+
+// frameReadStep is the first body allocation for a frame whose buffer
+// is too small. A length prefix is only the peer's claim, so larger
+// bodies grow as their bytes arrive, at most doubling per step: a
+// header announcing MaxFrame and then stalling costs one step, not
+// MaxFrame.
+const frameReadStep = 64 << 10
+
+// readFrame reads one frame body into buf (grown if needed), returning
+// the filled slice. buf may be nil.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	if uint64(cap(buf)) < uint64(n) {
-		buf = make([]byte, n)
+	if cap(buf) < min(n, frameReadStep) {
+		buf = make([]byte, 0, min(n, frameReadStep))
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	buf = buf[:0]
+	for {
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
 	}
-	return buf, nil
 }

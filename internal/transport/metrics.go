@@ -82,7 +82,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		bytesIn: r.CounterVec("rsse_request_bytes_total",
 			"Frame bytes moved by the serving transport, by direction.", "dir").With("in"),
 		queueDepth: r.Gauge("rsse_dispatch_queue_depth",
-			"Requests parsed but not yet executing, across all connections (pooled dispatch)."),
+			"Requests parsed but not yet executing, across all connections."),
 		queueWait: r.Histogram("rsse_dispatch_queue_wait_seconds",
 			"Time requests spend queued before a dispatch worker picks them up."),
 		workers: r.Gauge("rsse_dispatch_workers",

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -17,16 +16,15 @@ import (
 )
 
 // connConcurrency caps the requests one connection may have executing
-// at once. Under pooled dispatch it is the connection's worker-pool
-// ceiling (workers spawn lazily up to it); under spawn dispatch it is
-// the per-connection goroutine semaphore. Requests from different
-// connections are unbounded relative to each other.
+// at once: it is the connection's worker-pool ceiling (workers spawn
+// lazily up to it). Requests from different connections are unbounded
+// relative to each other.
 const connConcurrency = 32
 
 // connQueue bounds the requests a connection may have parsed but not
-// yet executing under pooled dispatch. A full queue blocks the
-// connection's read loop — backpressure lands in the peer's socket
-// buffer instead of as unbounded server-side goroutines or memory.
+// yet executing. A full queue blocks the connection's read loop —
+// backpressure lands in the peer's socket buffer instead of as
+// unbounded server-side goroutines or memory.
 const connQueue = 128
 
 // writeCoalesce caps how many completed responses the connection's
@@ -36,49 +34,12 @@ const writeCoalesce = 64
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("transport: server closed")
 
-// DispatchMode selects how a connection's requests are executed.
-type DispatchMode int
-
-const (
-	// DispatchPooled (the default) runs each connection's requests on a
-	// bounded worker pool and coalesces completed responses into grouped
-	// vectored writes: under high fan-in, throughput degrades into
-	// backpressure instead of goroutine/scheduler thrash, and a busy
-	// connection pays one writev per response group instead of one per
-	// response.
-	DispatchPooled DispatchMode = iota
-	// DispatchSpawn is the legacy goroutine-per-request dispatch (one
-	// spawned goroutine and one vectored write per request), kept so the
-	// load harness can measure the pooled path against it.
-	DispatchSpawn
-)
-
-// DispatchModeByName resolves "pooled" or "spawn".
-func DispatchModeByName(name string) (DispatchMode, error) {
-	switch name {
-	case "pooled":
-		return DispatchPooled, nil
-	case "spawn":
-		return DispatchSpawn, nil
-	default:
-		return 0, fmt.Errorf("transport: unknown dispatch mode %q (pooled|spawn)", name)
-	}
-}
-
-func (m DispatchMode) String() string {
-	if m == DispatchSpawn {
-		return "spawn"
-	}
-	return "pooled"
-}
-
 // Server serves a Registry of named indexes over any number of
 // listeners. Every connection's requests are dispatched concurrently —
 // one slow search does not block the connection's other requests — and
 // Shutdown drains in-flight requests before closing connections.
 type Server struct {
-	reg      *Registry
-	dispatch DispatchMode
+	reg *Registry
 
 	// logger, when set, receives structured serving events (connection
 	// lifecycle at Debug, protocol errors at Warn) with per-connection
@@ -110,10 +71,6 @@ func NewServer(reg *Registry) *Server {
 
 // Registry returns the served registry.
 func (s *Server) Registry() *Registry { return s.reg }
-
-// SetDispatch selects the connection dispatch mode. Call before Serve;
-// connections pick the mode up when accepted.
-func (s *Server) SetDispatch(m DispatchMode) { s.dispatch = m }
 
 // SetLogger installs a structured logger for serving events: connection
 // lifecycle at Debug, protocol errors at Warn, slow queries (see
@@ -213,7 +170,7 @@ func (s *Server) Serve(l net.Listener) error {
 				conn.Close()
 				tm.conns.Dec()
 			}()
-			err := serveLoop(s.reg, conn, s, s.dispatch, log, s.slowQuery)
+			err := serveLoop(s.reg, conn, s, log, s.slowQuery)
 			if log != nil {
 				if err != nil {
 					log.Warn("connection dropped", slog.Any("err", err))
@@ -279,23 +236,12 @@ func Serve(l net.Listener, idx core.Server) error {
 // established connection until EOF or error (nil on clean EOF). Requests
 // are still dispatched concurrently.
 func ServeConn(conn io.ReadWriter, idx core.Server) error {
-	return serveLoop(singleRegistry(idx), conn, nil, DispatchPooled, nil, 0)
+	return serveLoop(singleRegistry(idx), conn, nil, nil, 0)
 }
 
 // ServeConnRegistry is ServeConn over a full registry.
 func ServeConnRegistry(conn io.ReadWriter, reg *Registry) error {
-	return serveLoop(reg, conn, nil, DispatchPooled, nil, 0)
-}
-
-// serveLoop reads request frames from rw and executes them concurrently
-// under the selected dispatch mode. srv, when non-nil, tracks in-flight
-// requests for graceful shutdown; log, when non-nil, receives serving
-// events, and slow enables the slow-query log.
-func serveLoop(reg *Registry, rw io.ReadWriter, srv *Server, mode DispatchMode, log *slog.Logger, slow time.Duration) error {
-	if mode == DispatchSpawn {
-		return serveLoopSpawn(reg, rw, srv, log, slow)
-	}
-	return serveLoopPooled(reg, rw, srv, log, slow)
+	return serveLoop(reg, conn, nil, nil, 0)
 }
 
 // task is one admitted request awaiting a dispatcher worker.
@@ -337,14 +283,17 @@ type dispatcher struct {
 	writerDone chan struct{}
 }
 
-// serveLoopPooled reads request frames from rw and feeds them to the
+// serveLoop reads request frames from rw and feeds them to the
 // connection's dispatcher: a worker pool bounded at connConcurrency
 // (spawned lazily — a sequential request stream costs one worker) over
 // a queue bounded at connQueue. A full queue blocks the read loop, so
 // overload turns into TCP backpressure on the peer instead of unbounded
 // goroutine fan-out, and completed responses leave through one writer
-// that coalesces bursts into grouped vectored writes.
-func serveLoopPooled(reg *Registry, rw io.ReadWriter, srv *Server, log *slog.Logger, slow time.Duration) error {
+// that coalesces bursts into grouped vectored writes. srv, when
+// non-nil, tracks in-flight requests for graceful shutdown; log, when
+// non-nil, receives serving events, and slow enables the slow-query
+// log.
+func serveLoop(reg *Registry, rw io.ReadWriter, srv *Server, log *slog.Logger, slow time.Duration) error {
 	br := bufio.NewReader(rw)
 	d := &dispatcher{
 		reg:   reg,
@@ -373,9 +322,9 @@ func serveLoopPooled(reg *Registry, rw io.ReadWriter, srv *Server, log *slog.Log
 		// each loop turn takes a fresh buffer because earlier requests
 		// may still be executing on the pool's workers.
 		bp := bodyPool.Get().(*[]byte)
-		body, err := readFrameInto(br, (*bp)[:0])
+		body, err := readFrame(br, (*bp)[:0])
 		if err != nil {
-			bodyPool.Put(bp)
+			putBody(bp)
 			if errors.Is(err, io.EOF) || (srv != nil && srv.closing()) {
 				return nil
 			}
@@ -388,7 +337,7 @@ func serveLoopPooled(reg *Registry, rw io.ReadWriter, srv *Server, log *slog.Log
 		if err != nil {
 			// Without a request id there is nothing to route an error to;
 			// the framing is corrupt, drop the connection.
-			bodyPool.Put(bp)
+			putBody(bp)
 			tm.frameErrs.Inc()
 			return err
 		}
@@ -506,7 +455,7 @@ func (d *dispatcher) writeLoop() {
 // vectored write. An oversized response is rolled back and replaced by
 // an err-response so the waiting request fails instead of hanging;
 // write errors are dropped (the read side of a dead connection surfaces
-// them to serveLoopPooled). Request bodies recycle and in-flight
+// them to serveLoop). Request bodies recycle and in-flight
 // accounting closes only after the group is on the wire, so graceful
 // shutdown never closes a connection under a pending response.
 func (d *dispatcher) writeBatch(fw *frameWriter, batch []completion) {
@@ -535,122 +484,10 @@ func (d *dispatcher) writeBatch(fw *frameWriter, batch []completion) {
 	tm.bytesOut.Add(uint64(out))
 	for _, c := range batch {
 		if c.bp != nil {
-			bodyPool.Put(c.bp)
+			putBody(c.bp)
 		}
 		if c.counted {
 			d.srv.endRequest()
 		}
-	}
-}
-
-// serveLoopSpawn is the legacy dispatch: each request runs on its own
-// spawned goroutine (bounded by a per-connection semaphore), and each
-// response is its own vectored write under the connection's write lock.
-// Kept selectable so the load harness can measure the pooled path
-// against it; see DispatchSpawn.
-func serveLoopSpawn(reg *Registry, rw io.ReadWriter, srv *Server, log *slog.Logger, slow time.Duration) error {
-	br := bufio.NewReader(rw)
-	var wmu sync.Mutex
-	sem := make(chan struct{}, connConcurrency)
-	var inFlight sync.WaitGroup
-	// Let in-flight requests finish writing before the caller closes the
-	// connection.
-	defer inFlight.Wait()
-	for {
-		bp := bodyPool.Get().(*[]byte)
-		body, err := readFrameInto(br, (*bp)[:0])
-		if err != nil {
-			bodyPool.Put(bp)
-			if errors.Is(err, io.EOF) || (srv != nil && srv.closing()) {
-				return nil
-			}
-			tm.frameErrs.Inc()
-			return err
-		}
-		tm.bytesIn.Add(uint64(4 + len(body)))
-		*bp = body
-		req, err := parseRequest(body)
-		if err != nil {
-			bodyPool.Put(bp)
-			tm.frameErrs.Inc()
-			return err
-		}
-		if srv != nil && !srv.beginRequest() {
-			tm.shed.Inc()
-			writeStatusResponse(rw, &wmu, req.id, statusOverload, []byte(overloadMsg))
-			bodyPool.Put(bp)
-			continue
-		}
-		sem <- struct{}{}
-		inFlight.Add(1)
-		go func(req request, bp *[]byte) {
-			defer func() {
-				bodyPool.Put(bp)
-				<-sem
-				inFlight.Done()
-				if srv != nil {
-					srv.endRequest()
-				}
-			}()
-			if req.op == opBatchStream {
-				streamRequestSpawn(reg, rw, &wmu, req)
-				return
-			}
-			oi := opIndex(req.op)
-			start := time.Now()
-			payload, herr := handleRequest(reg, req)
-			dur := time.Since(start)
-			tm.requests[oi].Inc()
-			tm.latency[oi].Record(dur)
-			if herr != nil {
-				tm.errors[oi].Inc()
-			}
-			logSlowQuery(log, slow, req, dur, herr)
-			writeResponse(rw, &wmu, req.id, payload, herr)
-		}(req, bp)
-	}
-}
-
-// writeResponse frames one response under the connection's write lock,
-// staging the header in a pooled frame writer and shipping header and
-// payload in a single vectored write. An oversized payload is converted
-// to an err-response so the waiting request fails instead of hanging;
-// other write errors are dropped (the read side of a dead connection
-// surfaces them to serveLoop).
-func writeResponse(w io.Writer, wmu *sync.Mutex, id uint32, payload []byte, herr error) {
-	status := statusOK
-	if herr != nil {
-		status = statusErr
-		payload = []byte(herr.Error())
-	}
-	writeStatusResponse(w, wmu, id, status, payload)
-}
-
-// writeStatusResponse is writeResponse with an explicit status byte, so
-// the shed path can ship overload responses through the same framing.
-func writeStatusResponse(w io.Writer, wmu *sync.Mutex, id uint32, status byte, payload []byte) {
-	if status == statusOverload {
-		tm.overload.Inc()
-	}
-	tm.bytesOut.Add(uint64(4 + responseHeader + len(payload)))
-	fw := getFrameWriter()
-	defer putFrameWriter(fw)
-	wmu.Lock()
-	defer wmu.Unlock()
-	fw.begin()
-	fw.stageUint32(id)
-	fw.stageByte(status)
-	fw.ref(payload)
-	if err := fw.flush(w); err != nil {
-		if !errors.Is(err, ErrFrameTooLarge) {
-			return
-		}
-		// flush rejects oversized frames before writing any bytes, so
-		// the stream is still clean for a substitute error response.
-		fw.begin()
-		fw.stageUint32(id)
-		fw.stageByte(statusErr)
-		fw.stageString(ErrFrameTooLarge.Error())
-		_ = fw.flush(w)
 	}
 }

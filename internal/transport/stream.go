@@ -3,8 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
 	"time"
 
 	"rsse/internal/core"
@@ -82,7 +80,7 @@ func handleBatchStream(reg *Registry, req request, emit func(status byte, payloa
 	}
 }
 
-// streamTask runs one batch-stream request on a pooled-dispatch worker:
+// streamTask runs one batch-stream request on a dispatcher worker:
 // every chunk goes through the connection's completion channel (and so
 // its coalescing writer) as its own response frame. Only the final
 // completion recycles the request body and closes the in-flight
@@ -105,22 +103,6 @@ func (d *dispatcher) streamTask(t task) {
 	tm.requests[oi].Inc()
 	tm.latency[oi].Record(dur)
 	logSlowQuery(d.log, d.slow, t.req, dur, nil)
-}
-
-// streamRequestSpawn is streamTask's spawn-dispatch counterpart: chunks
-// are written directly under the connection's write lock.
-func streamRequestSpawn(reg *Registry, rw io.Writer, wmu *sync.Mutex, req request) {
-	oi := opIndex(req.op)
-	start := time.Now()
-	handleBatchStream(reg, req, func(status byte, payload []byte) {
-		if status == statusErr {
-			tm.errors[oi].Inc()
-		}
-		writeStatusResponse(rw, wmu, req.id, status, payload)
-	})
-	dur := time.Since(start)
-	tm.requests[oi].Inc()
-	tm.latency[oi].Record(dur)
 }
 
 // SearchBatchStream runs the batch through the streamed op regardless

@@ -154,23 +154,6 @@ func writeFrame(w io.Writer, parts ...[]byte) error {
 	return nil
 }
 
-// readFrame reads one frame body.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
 // request is one parsed request frame.
 type request struct {
 	id      uint32

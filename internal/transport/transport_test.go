@@ -18,7 +18,7 @@ import (
 	"rsse/internal/sse"
 )
 
-func testClientIndex(t *testing.T, kind core.Kind) (*core.Client, *core.Index, []core.Tuple) {
+func testClientIndex(t testing.TB, kind core.Kind) (*core.Client, *core.Index, []core.Tuple) {
 	t.Helper()
 	rnd := mrand.New(mrand.NewSource(7))
 	tuples := make([]core.Tuple, 200)
@@ -510,7 +510,7 @@ func TestServerRejectsGarbageRequests(t *testing.T) {
 	if err := writeFrame(clientEnd, appendRequest(42, 77, DefaultIndex, []byte("junk"))); err != nil {
 		t.Fatal(err)
 	}
-	body, err := readFrame(clientEnd)
+	body, err := readFrame(clientEnd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestFrameLimits(t *testing.T) {
 	}
 	// A forged oversized header must be rejected on read.
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := readFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrame(bytes.NewReader(hdr), nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized read error = %v", err)
 	}
 }

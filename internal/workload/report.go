@@ -68,11 +68,11 @@ type RunReport struct {
 
 // DispatchComparison records an interleaved before/after: the same
 // workload driven against the primary server and a comparison server
-// running the old configuration. Historically the two sides were
-// pooled vs spawn dispatch — the field names keep that lineage — but
-// Mode names what actually differs ("spawn-dispatch", "legacy-kernel",
-// ...): Pooled* is always the primary (new) side, Spawn* the
-// comparison (old) side.
+// running the old configuration. The first comparison (BENCH_7.json)
+// was pooled vs spawn dispatch, and the field names keep that lineage
+// so committed reports stay readable; Mode names what actually differs
+// (empty in BENCH_7.json, meaning "spawn-dispatch"). Pooled* is always
+// the primary (new) side, Spawn* the comparison (old) side.
 type DispatchComparison struct {
 	Workload    string  `json:"workload"`
 	Mode        string  `json:"mode,omitempty"`
@@ -92,7 +92,9 @@ type LoadReport struct {
 	GOARCH     string `json:"goarch"`
 	Scheme     string `json:"scheme"`
 	DomainBits uint8  `json:"domain_bits"`
-	Dispatch   string `json:"dispatch,omitempty"`
+	// Dispatch is the server's dispatch mode in reports written while
+	// it had two (BENCH_7.json, BENCH_9.json); newer reports omit it.
+	Dispatch string `json:"dispatch,omitempty"`
 
 	Runs               []RunReport         `json:"runs"`
 	DispatchComparison *DispatchComparison `json:"dispatch_comparison,omitempty"`
@@ -112,7 +114,7 @@ type LoadReport struct {
 }
 
 // NewLoadReport stamps the platform header.
-func NewLoadReport(scheme string, bits uint8, dispatch string) *LoadReport {
+func NewLoadReport(scheme string, bits uint8) *LoadReport {
 	return &LoadReport{
 		Tool:       "rsse-load",
 		GoVersion:  runtime.Version(),
@@ -120,7 +122,6 @@ func NewLoadReport(scheme string, bits uint8, dispatch string) *LoadReport {
 		GOARCH:     runtime.GOARCH,
 		Scheme:     scheme,
 		DomainBits: bits,
-		Dispatch:   dispatch,
 	}
 }
 
